@@ -13,9 +13,11 @@
 package lsh
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,10 +40,12 @@ type Params struct {
 	// mean nearest-neighbor distance of a data sample, so that radius R=1
 	// roughly covers nearest neighbors.
 	W float64
-	// MaxM caps the number of hash functions (default 96). The Chernoff
-	// bound of C2LSH may ask for more on easy parameter settings; capping
-	// trades a little result quality for index size, which the paper's
-	// relative comparisons are insensitive to.
+	// MaxM caps the number of hash functions (default 96, at most 65535:
+	// larger values are lowered to 65535 so that a point's collision count
+	// fits the 16-bit query counters). The Chernoff bound of C2LSH may ask
+	// for more on easy parameter settings; capping trades a little result
+	// quality for index size, which the paper's relative comparisons are
+	// insensitive to.
 	MaxM int
 	// Seed drives projection sampling.
 	Seed int64
@@ -60,8 +64,14 @@ func (p Params) withDefaults(n int) Params {
 	if p.MaxM <= 0 {
 		p.MaxM = 96
 	}
+	if p.MaxM > maxM {
+		p.MaxM = maxM
+	}
 	return p
 }
+
+// maxM is the largest hash-function count: collision counts are uint16.
+const maxM = math.MaxUint16
 
 // Index is a built C2LSH index.
 type Index struct {
@@ -77,16 +87,19 @@ type Index struct {
 	vals [][]int64
 	ids  [][]int32
 
-	// Per-query scratch (collision counters, version-stamped to avoid O(n)
-	// clears), pooled so concurrent queries never share state.
+	// Per-query scratch, pooled so concurrent queries never share state.
 	scratch sync.Pool
 }
 
-// queryScratch is one query's collision-counting state.
+// queryScratch is one query's collision-counting state: one counter per
+// point, cleared at query start (O(n), small next to the ~0.15·n·m
+// increments of a query), plus the query's hash value and counted window
+// per hash function. A point is counted at most once per hash function, so
+// its count never exceeds m ≤ maxM and fits a uint16.
 type queryScratch struct {
-	counts []int32
-	stamp  []int32
-	qid    int32
+	counts []uint16
+	qv     []int64
+	lo, hi []int
 }
 
 // collisionProb is the 2-stable LSH collision probability p(r) for two
@@ -146,7 +159,12 @@ func Build(ds *dataset.Dataset, p Params) *Index {
 		ids:  make([][]int32, m),
 	}
 	ix.scratch.New = func() any {
-		return &queryScratch{counts: make([]int32, n), stamp: make([]int32, n)}
+		return &queryScratch{
+			counts: make([]uint16, n),
+			qv:     make([]int64, m),
+			lo:     make([]int, m),
+			hi:     make([]int, m),
+		}
 	}
 	for i := range ix.proj {
 		ix.proj[i] = rng.NormFloat64()
@@ -250,128 +268,157 @@ type Result struct {
 
 // Candidates runs C2LSH candidate generation (Phase 1 of Algorithm 1) for
 // query q: collision counting with virtual rehashing until k + β·n
-// candidates are found or the radius exhausts the hash-value range.
-// Safe for concurrent use: counting state is pooled per query.
+// candidates are found or no window can gain another point.
+// Safe for concurrent use: counting state is pooled per query. The returned
+// IDs slice is the only allocation of a query that does not fall back.
 func (ix *Index) Candidates(q []float32, k int) Result {
 	if len(q) != ix.dim {
 		panic(fmt.Sprintf("lsh: query dim %d != index dim %d", len(q), ix.dim))
 	}
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
-	sc.qid++
-	if sc.qid == 0 { // stamp wrapped: reset to keep correctness
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.qid = 1
-	}
-	qid := sc.qid
+	counts, qv, lo, hi := sc.counts, sc.qv, sc.lo, sc.hi
+	clear(counts)
 
 	required := k + int(math.Ceil(ix.params.Beta*float64(ix.n)))
 	if required > ix.n {
 		required = ix.n
 	}
 
-	qv := make([]int64, ix.m)
-	for h := 0; h < ix.m; h++ {
-		qv[h] = ix.hashWith(ix.proj[h*ix.dim:(h+1)*ix.dim], ix.bias[h], q)
-	}
-
 	// Window state per hash function: [lo, hi) index range currently
-	// counted, empty at start.
-	lo := make([]int, ix.m)
-	hi := make([]int, ix.m)
-	for h := range lo {
-		// Position of the R=1 window start.
-		lo[h] = sort.Search(ix.n, func(i int) bool { return ix.vals[h][i] >= qv[h] })
+	// counted, empty at start at the position of the R=1 window.
+	for h := range qv {
+		qv[h] = ix.hashWith(ix.proj[h*ix.dim:(h+1)*ix.dim], ix.bias[h], q)
+		lo[h], _ = slices.BinarySearch(ix.vals[h], qv[h])
 		hi[h] = lo[h]
 	}
 
-	var cands []int
-	count := func(h, idx int) {
-		id := ix.ids[h][idx]
-		if sc.stamp[id] != qid {
-			sc.stamp[id] = qid
-			sc.counts[id] = 0
-		}
-		sc.counts[id]++
-		// Terminating condition T1 of C2LSH: once k + β·n candidates have
-		// been collected the query stops, so later threshold-crossers are
-		// not admitted even within the same virtual-rehashing level. This
-		// keeps |C(q)| at the scale the paper reports (hundreds) instead of
-		// ballooning on coarse radius doublings over small datasets.
-		if int(sc.counts[id]) == ix.l && len(cands) < required {
-			cands = append(cands, int(id))
-		}
-	}
-
+	cands := make([]int, 0, max(required, 0))
+	l := uint16(ix.l)
 	R := int64(1)
-	c := int64(ix.params.C)
+	// A point becomes a candidate the moment its count reaches l. Terminating
+	// condition T1 of C2LSH: once k + β·n candidates have been collected the
+	// query stops, so later threshold-crossers are not admitted even within
+	// the same virtual-rehashing level. This keeps |C(q)| at the scale the
+	// paper reports (hundreds) instead of ballooning on coarse radius
+	// doublings over small datasets. The query returns right there: nothing
+	// counted after T1 could change the result.
 	for {
 		exhausted := true
-		for h := 0; h < ix.m; h++ {
+		for h := range qv {
 			// Bucket window of q at radius R in hash-value space.
 			wlo := floorDiv(qv[h], R) * R
 			whi := wlo + R
-			vs := ix.vals[h]
-			for lo[h] > 0 && vs[lo[h]-1] >= wlo {
-				lo[h]--
-				count(h, lo[h])
+			vs, ids := ix.vals[h], ix.ids[h]
+			// The window's new bounds, then its new points: lo downward
+			// first, then hi upward, as discovery order requires.
+			i := searchDown(vs, lo[h], wlo)
+			for x := lo[h] - 1; x >= i; x-- {
+				id := ids[x]
+				cnt := counts[id] + 1
+				counts[id] = cnt
+				if cnt == l && len(cands) < required {
+					cands = append(cands, int(id))
+					if len(cands) == required && required >= k {
+						return ix.result(cands, R)
+					}
+				}
 			}
-			for hi[h] < ix.n && vs[hi[h]] < whi {
-				count(h, hi[h])
-				hi[h]++
+			lo[h] = i
+			j := searchUp(vs, hi[h], whi)
+			for _, id := range ids[hi[h]:j] {
+				cnt := counts[id] + 1
+				counts[id] = cnt
+				if cnt == l && len(cands) < required {
+					cands = append(cands, int(id))
+					if len(cands) == required && required >= k {
+						return ix.result(cands, R)
+					}
+				}
 			}
-			if lo[h] > 0 || hi[h] < ix.n {
+			hi[h] = j
+			// Windows are aligned buckets of width R, so one never crosses
+			// zero: a query hashed at or above zero never reaches negative
+			// values, one hashed below zero never reaches the rest. The
+			// query is exhausted once no window can gain another point.
+			if (i > 0 && (qv[h] < 0 || vs[i-1] >= 0)) || (j < len(vs) && (qv[h] >= 0 || vs[j] < 0)) {
 				exhausted = false
 			}
 		}
 		if len(cands) >= required || exhausted {
 			if len(cands) >= k || exhausted {
 				if len(cands) < k {
-					ix.fallback(&cands, sc, qid, k)
+					cands = ix.fallback(cands, counts, k)
 				}
-				return Result{IDs: cands, Radius: int(R), Dmax: float64(c) * float64(R) * ix.w}
+				return ix.result(cands, R)
 			}
 		}
-		R *= c
+		R *= int64(ix.params.C)
 	}
 }
 
+// result packages a query's candidates found at radius R.
+func (ix *Index) result(cands []int, R int64) Result {
+	return Result{IDs: cands, Radius: int(R), Dmax: float64(ix.params.C) * float64(R) * ix.w}
+}
+
 // fallback pads the candidate set up to k ids when collision counting alone
-// cannot reach the threshold (tiny datasets, extreme parameters): points
-// with the highest partial collision counts first, then arbitrary ids.
-func (ix *Index) fallback(cands *[]int, sc *queryScratch, qid int32, k int) {
-	in := make(map[int]bool, len(*cands))
-	for _, id := range *cands {
-		in[id] = true
-	}
+// cannot reach k (tiny datasets, queries on the far side of zero from the
+// data under most hash functions, extreme parameters): points
+// with the highest partial collision counts first, then the rest by id.
+// It runs only on an exhausted query holding fewer than k candidates, where
+// T1 never cut anything, so the candidates are exactly the points whose
+// count reached l.
+func (ix *Index) fallback(cands []int, counts []uint16, k int) []int {
 	type pc struct {
 		id int
-		c  int32
+		c  uint16
 	}
-	var rest []pc
-	for id := 0; id < ix.n; id++ {
-		if in[id] {
-			continue
+	l := uint16(ix.l)
+	rest := make([]pc, 0, ix.n-len(cands))
+	for id, cnt := range counts {
+		if cnt < l {
+			rest = append(rest, pc{id, cnt})
 		}
-		var cnt int32
-		if sc.stamp[id] == qid {
-			cnt = sc.counts[id]
-		}
-		rest = append(rest, pc{id, cnt})
 	}
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].c != rest[j].c {
-			return rest[i].c > rest[j].c
+	slices.SortFunc(rest, func(a, b pc) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
 		}
-		return rest[i].id < rest[j].id
+		return cmp.Compare(a.id, b.id)
 	})
-	for _, e := range rest {
-		if len(*cands) >= k {
-			break
+	for _, e := range rest[:min(k-len(cands), len(rest))] {
+		cands = append(cands, e.id)
+	}
+	return cands
+}
+
+// searchDown returns the first index i ≤ from such that vs[i:from] ≥ x,
+// galloping down from from so the probes stay near the window's edge.
+func searchDown(vs []int64, from int, x int64) int {
+	hi, step := from, 1
+	for {
+		p := hi - step
+		if p < 0 || vs[p] < x {
+			lo := max(p+1, 0)
+			i, _ := slices.BinarySearch(vs[lo:hi], x)
+			return lo + i
 		}
-		*cands = append(*cands, e.id)
+		hi, step = p, step*2
+	}
+}
+
+// searchUp returns the first index j ≥ from with vs[j] ≥ x (len(vs) if
+// none), galloping up from from.
+func searchUp(vs []int64, from int, x int64) int {
+	lo, step := from, 1
+	for {
+		p := lo + step - 1
+		if p >= len(vs) || vs[p] >= x {
+			j, _ := slices.BinarySearch(vs[lo:min(p+1, len(vs))], x)
+			return lo + j
+		}
+		lo, step = p+1, step*2
 	}
 }
 

@@ -24,3 +24,15 @@ func BenchmarkCandidates5000x150(b *testing.B) {
 		ix.Candidates(ds.Point(i%ds.Len()), 10)
 	}
 }
+
+// BenchmarkCandidates20000x64 is Phase 1 at the hot-read benchmark
+// workload's shape (20k×64 quickstart data, default parameters: m=96).
+func BenchmarkCandidates20000x64(b *testing.B) {
+	ds := hotReadDS()
+	ix := Build(ds, Params{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.Candidates(ds.Point(i%ds.Len()), 10)
+	}
+}

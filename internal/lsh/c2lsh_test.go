@@ -208,3 +208,53 @@ func TestVirtualRehashingWindowsGrow(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidatesAllocatesOnlyResult pins Phase 1's allocation budget: with
+// the pooled scratch warm, a query allocates just its returned IDs slice.
+func TestCandidatesAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	ds := testDS(2000, 16, 18)
+	ix := Build(ds, Params{Seed: 19})
+	q := ds.Point(7)
+	allocs := testing.AllocsPerRun(100, func() {
+		ix.Candidates(q, 10)
+	})
+	if allocs > 1 {
+		t.Fatalf("Candidates allocated %v/op, want at most 1", allocs)
+	}
+}
+
+// TestBuildCapsHashCount checks the 16-bit counter limit: MaxM above 65535
+// is lowered to 65535. The Chernoff setting asks for ~46k functions at
+// β = δ = 1e-300 and stays below the cap for any β, δ whose 2/β and 1/δ are
+// finite, so the cap bounds it without binding; counting at that m must
+// still agree with the frozen oracle.
+func TestBuildCapsHashCount(t *testing.T) {
+	ds := testDS(40, 4, 20)
+	ix := Build(ds, Params{Beta: 1e-300, Delta: 1e-300, MaxM: 1 << 20, Seed: 21})
+	if ix.params.MaxM != maxM || maxM != 65535 {
+		t.Fatalf("MaxM = %d, want 65535", ix.params.MaxM)
+	}
+	if ix.M() > maxM || ix.M() < 40000 {
+		t.Fatalf("m = %d, want the uncapped Chernoff value in [40000, 65535]", ix.M())
+	}
+	compared := 0
+	for i := 0; i < 5; i++ {
+		q := ds.Point(i)
+		got := ix.Candidates(q, 10)
+		if want, _, ok := tryOracle(ix, q, 10); ok {
+			if !sameResult(got, want) {
+				t.Fatalf("query %d: result differs from the oracle at m=%d", i, ix.M())
+			}
+			compared++
+		}
+		if msg := wellFormed(ix, got, 10); msg != "" {
+			t.Fatalf("query %d: %s", i, msg)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("the oracle overflowed on every query; nothing compared")
+	}
+}

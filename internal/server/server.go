@@ -139,6 +139,7 @@ type Handler struct {
 	batchShed atomic.Int64 // batches refused because the gate lacked slots
 
 	latTotal      Histogram // wall clock of the whole search request
+	latGen        Histogram // Phase-1 candidate generation CPU
 	latReduce     Histogram // Phase-2 candidate reduction CPU
 	latRefine     Histogram // Phase-3 refinement CPU + simulated I/O
 	latBatch      Histogram // wall clock of one whole batch request
@@ -400,6 +401,7 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	h.cands.Add(int64(st.Candidates))
 	h.remaining.Add(int64(st.Remaining))
 	h.latTotal.Observe(time.Since(start))
+	h.latGen.Observe(st.GenTime)
 	h.latReduce.Observe(st.ReduceTime)
 	h.latRefine.Observe(st.RefineTime + st.SimulatedIO)
 
@@ -525,6 +527,7 @@ func (h *Handler) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		h.cands.Add(int64(st.Candidates))
 		h.remaining.Add(int64(st.Remaining))
 		h.latBatchQuery.Observe(perQuery)
+		h.latGen.Observe(st.GenTime)
 		h.latReduce.Observe(st.ReduceTime)
 		h.latRefine.Observe(st.RefineTime + st.SimulatedIO)
 	}
@@ -570,6 +573,7 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 
 type latencyMetrics struct {
 	Total      HistogramSnapshot `json:"total"`
+	Gen        HistogramSnapshot `json:"phase1_gen"`
 	Reduce     HistogramSnapshot `json:"phase2_reduce"`
 	RefineIO   HistogramSnapshot `json:"refine_io"`
 	Batch      HistogramSnapshot `json:"batch"`
@@ -638,6 +642,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Ingest:            h.ingestMetricsBlock(),
 		Latency: latencyMetrics{
 			Total:      h.latTotal.Snapshot(),
+			Gen:        h.latGen.Snapshot(),
 			Reduce:     h.latReduce.Snapshot(),
 			RefineIO:   h.latRefine.Snapshot(),
 			Batch:      h.latBatch.Snapshot(),

@@ -36,7 +36,7 @@ func (s *fakeSearcher) Search(ctx context.Context, q []float32, k int) ([]int, S
 	}
 	return ids, Stats{
 		Candidates: 4 * k, Hits: 2 * k, Fetched: k,
-		ReduceTime: 5 * time.Microsecond, RefineTime: 20 * time.Microsecond,
+		GenTime: 50 * time.Microsecond, ReduceTime: 5 * time.Microsecond, RefineTime: 20 * time.Microsecond,
 	}, nil
 }
 
@@ -336,7 +336,7 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 		t.Fatalf("queries = %d", m.Queries)
 	}
 	for name, h := range map[string]HistogramSnapshot{
-		"total": m.Latency.Total, "reduce": m.Latency.Reduce, "refine_io": m.Latency.RefineIO,
+		"total": m.Latency.Total, "gen": m.Latency.Gen, "reduce": m.Latency.Reduce, "refine_io": m.Latency.RefineIO,
 	} {
 		if h.Count != 4 {
 			t.Fatalf("%s histogram count = %d, want 4", name, h.Count)
@@ -348,8 +348,12 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 			t.Fatalf("%s quantiles look wrong: p50=%d p99=%d", name, h.P50US, h.P99US)
 		}
 	}
-	// The fake reports 5µs reduce / 20µs refine: the quantile upper bounds
-	// must bracket them (geometric buckets overestimate by at most 2×).
+	// The fake reports 50µs gen / 5µs reduce / 20µs refine: the quantile
+	// upper bounds must bracket them (geometric buckets overestimate by at
+	// most 2×).
+	if p := m.Latency.Gen.P50US; p < 50 || p > 100 {
+		t.Fatalf("gen p50 = %dµs, want within [50,100]", p)
+	}
 	if p := m.Latency.Reduce.P50US; p < 5 || p > 10 {
 		t.Fatalf("reduce p50 = %dµs, want within [5,10]", p)
 	}
